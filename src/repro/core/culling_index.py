@@ -16,8 +16,8 @@ from typing import Dict, Iterable, List, Sequence
 import numpy as np
 
 from repro.gaussians.camera import Camera
-from repro.gaussians.frustum import cull_gaussians
 from repro.gaussians.model import GaussianModel
+from repro.gaussians.spatial import CullingGrid
 
 
 @dataclass
@@ -34,18 +34,20 @@ class CullingIndex:
         model: GaussianModel,
         cameras: Sequence[Camera],
     ) -> "CullingIndex":
-        """Cull every camera against the model's critical attributes.
+        """Cull every camera against the model's critical attributes,
+        all through one :class:`CullingGrid` (exact, like the linear cull).
 
         Deliberately takes the three critical arrays through the model but
         never touches ``model.sh`` / ``model.opacity_logits`` — mirroring
         that culling runs before any non-critical attribute is loaded.
         """
-        index = cls(num_gaussians=model.num_gaussians)
-        for cam in cameras:
-            index.sets[cam.view_id] = cull_gaussians(
-                cam, model.positions, model.log_scales, model.quaternions
-            )
-        return index
+        grid = CullingGrid(
+            model.positions, model.log_scales, model.quaternions
+        )
+        return cls(
+            num_gaussians=model.num_gaussians,
+            sets={cam.view_id: grid.query(cam) for cam in cameras},
+        )
 
     @classmethod
     def from_sets(cls, num_gaussians: int, sets: Dict[int, np.ndarray]) -> "CullingIndex":

@@ -33,6 +33,7 @@ from repro.gaussians.camera import Camera
 from repro.gaussians.frustum import cull_gaussians
 from repro.gaussians.loss import photometric_loss, psnr
 from repro.gaussians.model import GaussianModel
+from repro.gaussians.spatial import CullingGrid
 from repro.hardware.memory import MemoryPool
 from repro.planning.plan import BatchPlan
 from repro.planning.planner import BatchPlanner
@@ -427,11 +428,19 @@ class EngineBase(Engine):
     # -- shared machinery ----------------------------------------------
     def cull_views(self, view_ids: Sequence[int]) -> List[np.ndarray]:
         """Pre-rendering frustum culling using critical attributes only
-        (§5.1) — one in-frustum index set per view."""
+        (§5.1) — one in-frustum index set per view.
+
+        Every view is answered from one :class:`CullingGrid` built here
+        from the current attributes (§8 extension): rebuilding per call
+        needs no invalidation when Adam moves positions or ``rebuild``
+        changes N, and the sets equal the linear cull's.
+        """
         positions, log_scales, quaternions = self._culling_arrays()
+        grid = CullingGrid(positions, log_scales, quaternions)
         return [
             cull_gaussians(
-                self.cameras[vid], positions, log_scales, quaternions
+                self.cameras[vid], positions, log_scales, quaternions,
+                grid=grid,
             )
             for vid in view_ids
         ]

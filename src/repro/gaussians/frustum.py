@@ -14,10 +14,15 @@ frustum plane through the ellipsoid support function
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Optional
+
 import numpy as np
 
 from repro.gaussians import quaternion
 from repro.gaussians.camera import Camera
+
+if TYPE_CHECKING:
+    from repro.gaussians.spatial import CullingGrid
 
 #: Number of standard deviations used for the extent of a Gaussian; 3-sigma
 #: culling is standard practice in 3DGS implementations (paper §4.1).
@@ -70,9 +75,34 @@ def support_radii(
     """
     scales = np.exp(log_scales)
     rot = quaternion.to_rotation_matrices(quaternion.normalize(raw_quats))
-    # v[p, n, :] = diag(s_n) R_n^T normal_p
-    v = np.einsum("nji,pj->pni", rot, normals) * scales[None, :, :]
+    # v[p, n, :] = diag(s_n) R_n^T normal_p, spelled out term by term (like
+    # the signed distances below) so a row's value never depends on which
+    # other rows share the call.
+    v = (
+        normals[:, None, 0:1] * rot[:, 0, :]
+        + normals[:, None, 1:2] * rot[:, 1, :]
+        + normals[:, None, 2:3] * rot[:, 2, :]
+    ) * scales
     return CULL_SIGMA * np.linalg.norm(v, axis=-1)
+
+
+def _support_test(
+    planes: np.ndarray,
+    positions: np.ndarray,
+    log_scales: np.ndarray,
+    raw_quats: np.ndarray,
+) -> np.ndarray:
+    """The exact per-Gaussian test: does each 3-sigma ellipsoid reach the
+    inner side of every plane?  Returns a boolean mask over the rows."""
+    n = planes[:, :3]
+    signed = (
+        positions[:, 0:1] * n[:, 0]
+        + positions[:, 1:2] * n[:, 1]
+        + positions[:, 2:3] * n[:, 2]
+        + planes[:, 3]
+    )  # (N, P)
+    radii = support_radii(n, log_scales, raw_quats)  # (P, N)
+    return np.all(signed + radii.T >= 0.0, axis=1)
 
 
 def cull_gaussians(
@@ -80,18 +110,28 @@ def cull_gaussians(
     positions: np.ndarray,
     log_scales: np.ndarray,
     raw_quats: np.ndarray,
+    grid: Optional[CullingGrid] = None,
 ) -> np.ndarray:
     """Return the sorted indices of Gaussians intersecting the frustum.
 
     This is the pre-rendering frustum culling of §5.1: it runs *before*
     rasterization, producing the explicit in-frustum index set ``S_i`` that
     drives CLM's selective loading, caching and scheduling.
+
+    ``grid`` is a :class:`repro.gaussians.spatial.CullingGrid` built over
+    these same arrays.  It accepts the members of cells wholly inside the
+    frustum, skips cells wholly outside, and leaves only the remaining rows
+    to the exact test, so the result is the same as without it.
     """
     planes = frustum_planes(camera)
-    signed = positions @ planes[:, :3].T + planes[:, 3]  # (N, P)
-    radii = support_radii(planes[:, :3], log_scales, raw_quats)  # (P, N)
-    inside = np.all(signed + radii.T >= 0.0, axis=1)
-    return np.nonzero(inside)[0].astype(np.int64)
+    if grid is None:
+        keep = _support_test(planes, positions, log_scales, raw_quats)
+        return np.nonzero(keep)[0].astype(np.int64)
+    accepted, rows = grid.split(planes)
+    keep = _support_test(
+        planes, positions[rows], log_scales[rows], raw_quats[rows]
+    )
+    return np.sort(np.concatenate([accepted, rows[keep]]))
 
 
 def sparsity(camera: Camera, positions, log_scales, raw_quats) -> float:

@@ -4,11 +4,16 @@ The paper notes that naive frustum culling iterates over every Gaussian and
 "future work could explore integrating spatial acceleration structures,
 such as bounding volume hierarchies, to skip non-intersected regions".
 This module implements that extension as a uniform spatial grid (the
-flat-BVH equivalent that vectorizes well):
+flat-BVH equivalent that vectorizes well), stored as CSR arrays:
 
-- Gaussians are binned by centre into cubic cells;
+- Gaussians are binned by centre into cubic cells; one stable argsort of
+  the cell key lists the rows cell by cell, cells in lexicographic
+  ``(x, y, z)`` order and rows ascending within a cell;
 - each cell keeps an AABB (of centres) and the maximum 3-sigma support
   radius of its members;
+- rows with a non-finite position, scale or rotation are not binned (they
+  would stretch the grid's bounds): they sit in :attr:`CullingGrid.unbinned`
+  and always go to the exact test;
 - a query classifies whole cells against the frustum planes:
 
   * **outside** — some plane is farther than ``support`` below every
@@ -18,20 +23,33 @@ flat-BVH equivalent that vectorizes well):
     the support test);
   * **boundary** — the exact per-Gaussian support test runs on members.
 
-The result is *identical* to :func:`repro.gaussians.frustum.cull_gaussians`
-(verified by tests), while touching only the boundary shell of cells for
-sparse views — exactly the BigCity regime the paper worries about.
+Both cell decisions carry a relative slack of :data:`SLACK`, far above the
+rounding of the AABB corner sums and of the support bound, so a cell whose
+decision rounding could flip falls through to the exact test.  Queries run
+through :func:`repro.gaussians.frustum.cull_gaussians` with ``grid=``, so
+the exact test is the linear cull's own and the result is *identical* to
+it, while only the boundary shell of cells is tested for sparse views —
+exactly the BigCity regime the paper worries about.
+
+The grid is cheap enough to rebuild on every multi-view cull from the
+current critical attributes (Adam moves positions in place and
+densification changes N).  On a 2-CPU host a build takes ~10 ms at 90k
+Gaussians and ~0.6 ms at 2.7k; one linear cull of 90k rows takes ~70 ms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import reduce
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.gaussians.camera import Camera
-from repro.gaussians.frustum import CULL_SIGMA, frustum_planes, support_radii
+from repro.gaussians.frustum import CULL_SIGMA, cull_gaussians, frustum_planes
+
+#: Relative slack on both cell decisions: a cell is outside or inside only
+#: by a margin of ``SLACK`` times the magnitudes that entered the sums.
+SLACK = 1e-9
 
 
 def max_support_radius(log_scales: np.ndarray) -> np.ndarray:
@@ -40,22 +58,16 @@ def max_support_radius(log_scales: np.ndarray) -> np.ndarray:
     ``sqrt(n^T Sigma n) <= s_max`` for unit ``n``, so ``3 s_max`` bounds
     the ellipsoid's reach regardless of rotation.
     """
-    return CULL_SIGMA * np.exp(log_scales.max(axis=1))
-
-
-@dataclass
-class _Cell:
-    indices: np.ndarray  # member Gaussian indices (sorted)
-    lo: np.ndarray  # AABB of member centres
-    hi: np.ndarray
-    max_radius: float
+    # Column by column: much faster than a max over the 3-wide axis.
+    return CULL_SIGMA * np.exp(reduce(np.maximum, log_scales.T))
 
 
 class CullingGrid:
     """Uniform grid over Gaussian centres for accelerated frustum culling.
 
-    Build once per densification epoch (positions/scales change slowly
-    between structure changes); query per camera.
+    Built per multi-view cull (see the module docstring); queried per
+    camera.  ``rows[starts[c]:starts[c + 1]]`` are the members of cell
+    ``c``, whose integer coordinates are ``cell_coords[c]``.
     """
 
     def __init__(
@@ -68,109 +80,86 @@ class CullingGrid:
         self.positions = positions
         self.log_scales = log_scales
         self.raw_quats = raw_quats
-        n = positions.shape[0]
-        self.num_gaussians = n
-        self.cells: Dict[Tuple[int, int, int], _Cell] = {}
-        if n == 0:
-            self.cell_size = 1.0
-            self.origin = np.zeros(3)
-            return
-        lo = positions.min(axis=0)
-        hi = positions.max(axis=0)
-        extent = float(np.max(hi - lo))
-        self.cell_size = max(extent / max(target_cells_per_axis, 1), 1e-9)
-        self.origin = lo
+        self.num_gaussians = positions.shape[0]
         radii = max_support_radius(log_scales)
-        coords = np.floor((positions - self.origin) / self.cell_size).astype(
-            np.int64
-        )
-        order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
-        sorted_coords = coords[order]
-        boundaries = np.nonzero(
-            np.any(np.diff(sorted_coords, axis=0) != 0, axis=1)
-        )[0] + 1
-        for group in np.split(order, boundaries):
-            members = np.sort(group)
-            key = tuple(coords[group[0]])
-            pts = positions[members]
-            self.cells[key] = _Cell(
-                indices=members.astype(np.int64),
-                lo=pts.min(axis=0),
-                hi=pts.max(axis=0),
-                max_radius=float(radii[members].max()),
-            )
+        # A row's probe is non-finite iff one of its attributes is (or the
+        # sum overflows, which only huge coordinates do).
+        probe = positions @ np.ones(3) + raw_quats @ np.ones(4) + radii
+        finite = np.isfinite(probe)
+        self.unbinned = np.flatnonzero(~finite)
+        rows = np.flatnonzero(finite)
+        pts = positions[rows]
+        # Per-column extremes: much faster than min/max over axis 0.
+        bounds = np.zeros((3, 2))
+        if rows.size:
+            bounds = np.array([(c.min(), c.max()) for c in pts.T])
+        self.origin = bounds[:, 0]
+        extent = float(np.max(bounds[:, 1] - self.origin))
+        self.cell_size = max(extent / max(target_cells_per_axis, 1), 1e-9)
+        coords = np.floor((pts - self.origin) / self.cell_size).astype(np.int64)
+        # Cells per axis: the coordinates of the farthest centres, plus one.
+        top = np.floor((bounds[:, 1] - self.origin) / self.cell_size)
+        dims = top.astype(np.int64) + 1
+        key = (coords[:, 0] * dims[1] + coords[:, 1]) * dims[2] + coords[:, 2]
+        # Keys of up to 16 bits take NumPy's radix sort.
+        small = key.astype(np.min_scalar_type(int(np.prod(dims)) - 1))
+        order = np.argsort(small, kind="stable")
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        self.rows = rows[order]
+        self.starts = np.append(first, rows.size)
+        self.counts = np.diff(self.starts)
+        self.cell_coords = coords[order[first]]
+        pts = pts[order]
+        self.lo = np.minimum.reduceat(pts, first, axis=0)
+        self.hi = np.maximum.reduceat(pts, first, axis=0)
+        self.max_radius = np.maximum.reduceat(radii[self.rows], first)
 
     # ------------------------------------------------------------------
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return self.counts.size
+
+    def classify(self, planes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(outside, inside)`` masks over cells for ``(6, 4)`` planes;
+        a cell in neither is a boundary cell (so is one with a NaN sum)."""
+        normals = planes[:, :3]
+        offsets = planes[:, 3]
+        pos_n = np.maximum(normals, 0.0)
+        neg_n = np.minimum(normals, 0.0)
+        # Per plane, signed distance of the farthest/nearest AABB corner:
+        # positive normal components take hi (lo), negative ones lo (hi).
+        max_signed = self.lo @ neg_n.T + self.hi @ pos_n.T + offsets  # (C, P)
+        min_signed = self.lo @ pos_n.T + self.hi @ neg_n.T + offsets
+        reach = np.maximum(np.abs(self.lo), np.abs(self.hi))
+        slack = SLACK * (reach @ np.abs(normals).T + np.abs(offsets))
+        rads = (1.0 + SLACK) * self.max_radius[:, None]
+        outside = np.any(max_signed + rads + slack < 0.0, axis=1)
+        inside = np.all(min_signed >= slack, axis=1)
+        return outside, inside
+
+    def split(self, planes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(accepted, tested)`` rows for ``planes``: the members of inside
+        cells, which pass with no per-Gaussian work, and those of boundary
+        cells plus the unbinned rows, which need the exact test."""
+        outside, inside = self.classify(planes)
+        boundary = ~(outside | inside)
+        accepted = self.rows[np.repeat(inside, self.counts)]
+        tested = self.rows[np.repeat(boundary, self.counts)]
+        return accepted, np.concatenate([tested, self.unbinned])
 
     def query(self, camera: Camera) -> np.ndarray:
         """In-frustum index set; identical to the linear support-test cull."""
-        if self.num_gaussians == 0:
-            return np.empty(0, dtype=np.int64)
-        planes = frustum_planes(camera)
-        normals = planes[:, :3]
-        offsets = planes[:, 3]
-
-        keys = list(self.cells.keys())
-        los = np.stack([self.cells[k].lo for k in keys])
-        his = np.stack([self.cells[k].hi for k in keys])
-        rads = np.array([self.cells[k].max_radius for k in keys])
-
-        # Per plane, signed distance of the nearest/farthest AABB corner.
-        pos_n = np.maximum(normals, 0.0)  # (P, 3)
-        neg_n = np.minimum(normals, 0.0)
-        # max over corners: positive components take hi, negative take lo
-        max_signed = los @ neg_n.T + his @ pos_n.T + offsets  # (C, P)
-        min_signed = los @ pos_n.T + his @ neg_n.T + offsets
-
-        outside = np.any(max_signed + rads[:, None] < 0.0, axis=1)
-        inside = np.all(min_signed >= 0.0, axis=1)
-        boundary = ~outside & ~inside
-
-        accepted: List[np.ndarray] = []
-        for idx in np.nonzero(inside)[0]:
-            accepted.append(self.cells[keys[idx]].indices)
-        boundary_members = [
-            self.cells[keys[idx]].indices for idx in np.nonzero(boundary)[0]
-        ]
-        if boundary_members:
-            cand = np.concatenate(boundary_members)
-            signed = self.positions[cand] @ normals.T + offsets
-            radii = support_radii(
-                normals, self.log_scales[cand], self.raw_quats[cand]
-            )
-            keep = np.all(signed + radii.T >= 0.0, axis=1)
-            accepted.append(cand[keep])
-        if not accepted:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(accepted)).astype(np.int64)
+        return cull_gaussians(
+            camera, self.positions, self.log_scales, self.raw_quats, grid=self
+        )
 
     def query_stats(self, camera: Camera) -> Dict[str, int]:
         """Cell classification counts (for the §8 ablation benchmark)."""
-        if self.num_gaussians == 0:
-            return {"outside": 0, "inside": 0, "boundary": 0, "tested": 0}
-        planes = frustum_planes(camera)
-        normals = planes[:, :3]
-        offsets = planes[:, 3]
-        keys = list(self.cells.keys())
-        los = np.stack([self.cells[k].lo for k in keys])
-        his = np.stack([self.cells[k].hi for k in keys])
-        rads = np.array([self.cells[k].max_radius for k in keys])
-        pos_n = np.maximum(normals, 0.0)
-        neg_n = np.minimum(normals, 0.0)
-        max_signed = los @ neg_n.T + his @ pos_n.T + offsets
-        min_signed = los @ pos_n.T + his @ neg_n.T + offsets
-        outside = np.any(max_signed + rads[:, None] < 0.0, axis=1)
-        inside = np.all(min_signed >= 0.0, axis=1)
-        boundary = ~outside & ~inside
-        tested = int(sum(
-            self.cells[keys[i]].indices.size for i in np.nonzero(boundary)[0]
-        ))
+        outside, inside = self.classify(frustum_planes(camera))
+        boundary = ~(outside | inside)
         return {
             "outside": int(outside.sum()),
             "inside": int(inside.sum()),
             "boundary": int(boundary.sum()),
-            "tested": tested,
+            "tested": int(self.counts[boundary].sum()) + self.unbinned.size,
         }

@@ -1,9 +1,9 @@
 """Spatial sharding of Gaussian rows across K simulated devices.
 
 Rows are binned through the :class:`repro.gaussians.spatial.CullingGrid`
-cells (built once per densification epoch, like the culling accelerator),
-walked in the grid's lexicographic cell order, and cut into K contiguous
-runs of near-equal row counts.  Contiguity in cell order means each shard
+cells (built once per densification epoch), walked in the grid's
+lexicographic cell order, and cut into K contiguous runs of near-equal
+row counts.  Contiguity in cell order means each shard
 is a compact axis-aligned region of the scene, so a camera's in-frustum
 set concentrates on few shards and the *halo* — working-set rows owned by
 a peer device — stays a boundary-shell effect rather than a uniform
@@ -72,9 +72,10 @@ def spatial_shard(
     """Partition rows into K contiguous cell runs of near-equal size.
 
     ``grid`` reuses an already-built culling grid; otherwise one is built
-    from the critical attributes.  Deterministic: the grid's cell dict is
-    populated in lexicographic ``(i, j, k)`` coordinate order, and the cut
-    points follow cumulative row counts against the ideal ``N/K`` targets.
+    from the critical attributes.  Deterministic: the grid lists its cells
+    in lexicographic ``(i, j, k)`` coordinate order (rows it could not bin
+    form one trailing run), and a run goes to the device whose ideal
+    ``N/K`` quota the rows before it have not yet filled.
     """
     if num_devices < 1:
         raise ValueError(f"num_devices must be >= 1, got {num_devices}")
@@ -89,18 +90,12 @@ def spatial_shard(
             quaternions,
             target_cells_per_axis=target_cells_per_axis,
         )
-    device = 0
-    assigned = 0
-    for cell in grid.cells.values():
-        owner[cell.indices] = device
-        assigned += cell.indices.size
-        # Advance once the running total reaches this device's cumulative
-        # quota; never past the last device.
-        while (
-            device < num_devices - 1
-            and assigned >= (device + 1) * n / num_devices
-        ):
-            device += 1
+    counts = np.append(grid.counts, grid.unbinned.size)
+    # Cumulative quotas (d + 1) * n / K of devices 0..K-2: a run starts on
+    # the device after every quota its predecessors reached.
+    quotas = np.arange(1, num_devices) * n / num_devices
+    device = np.searchsorted(quotas, np.cumsum(counts) - counts, side="right")
+    owner[np.concatenate([grid.rows, grid.unbinned])] = np.repeat(device, counts)
     return ShardAssignment(num_devices=num_devices, owner=owner)
 
 

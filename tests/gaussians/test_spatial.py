@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gaussians.frustum import cull_gaussians
 from repro.gaussians.spatial import CullingGrid, max_support_radius
@@ -102,3 +104,133 @@ def test_result_sorted_unique(scene_cache):
     scene = scene_cache("rubble", 1e-4, 12)
     out = grid_for(scene.model).query(scene.cameras[0])
     assert is_sorted_unique(out)
+
+
+def test_csr_cells_walk_in_lexicographic_order(scene_cache):
+    """Cells are listed in lexicographic (x, y, z) order with ascending
+    member rows; sharding cuts its runs along this order."""
+    model = scene_cache("rubble", 1e-4, 12).model
+    grid = grid_for(model)
+    coords = grid.cell_coords
+    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
+    np.testing.assert_array_equal(order, np.arange(grid.num_cells))
+    assert np.unique(coords, axis=0).shape[0] == grid.num_cells
+    np.testing.assert_array_equal(np.sort(grid.rows), np.arange(model.num_gaussians))
+    cell_of_row = np.repeat(np.arange(grid.num_cells), grid.counts)
+    expected = np.floor(
+        (model.positions[grid.rows] - grid.origin) / grid.cell_size
+    ).astype(np.int64)
+    np.testing.assert_array_equal(coords[cell_of_row], expected)
+    for lo, hi in zip(grid.starts[:-1], grid.starts[1:]):
+        assert np.all(np.diff(grid.rows[lo:hi]) > 0)
+
+
+def test_query_stats_agrees_with_split(scene_cache):
+    from repro.gaussians.frustum import frustum_planes
+
+    scene = scene_cache("bigcity", 1e-4, 12)
+    grid = grid_for(scene.model)
+    for cam in scene.cameras[:4]:
+        stats = grid.query_stats(cam)
+        accepted, tested = grid.split(frustum_planes(cam))
+        assert stats["tested"] == tested.size
+        assert stats["outside"] + stats["inside"] + stats["boundary"] == grid.num_cells
+        assert accepted.size + tested.size <= scene.model.num_gaussians
+
+
+BAD_ROWS = {
+    "nan_position": ("positions", 0, np.nan),
+    "inf_position": ("positions", 1, np.inf),
+    "neg_inf_position": ("positions", 2, -np.inf),
+    "log_scale_plus_80": ("log_scales", slice(None), 80.0),
+    "log_scale_minus_80": ("log_scales", slice(None), -80.0),
+    "nan_log_scale": ("log_scales", 1, np.nan),
+    "zero_quaternion": ("quaternions", slice(None), 0.0),
+    "nan_quaternion": ("quaternions", 0, np.nan),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+def test_bad_rows_do_not_collapse_the_grid(bad, scene_cache):
+    """A row with a non-finite or extreme attribute neither changes the
+    grid's cells nor the result: it is appended as a copy of row 0 with
+    one attribute spoiled, and the grid must still equal linear culling."""
+    scene = scene_cache("bigcity", 1e-4, 12)
+    arrays = {}
+    for attr in ("positions", "log_scales", "quaternions"):
+        rows = getattr(scene.model, attr)
+        arrays[attr] = np.concatenate([rows, rows[:1]])
+    attr, column, value = BAD_ROWS[bad]
+    arrays[attr][-1, column] = value
+    clean = grid_for(scene.model)
+    grid = CullingGrid(
+        arrays["positions"], arrays["log_scales"], arrays["quaternions"],
+        target_cells_per_axis=12,
+    )
+    assert grid.num_cells == clean.num_cells
+    finite = np.isfinite(arrays[attr][-1]).all()
+    assert grid.unbinned.tolist() == ([] if finite else [scene.model.num_gaussians])
+    with np.errstate(invalid="ignore"):
+        for cam in scene.cameras:
+            linear = cull_gaussians(
+                cam, arrays["positions"], arrays["log_scales"], arrays["quaternions"]
+            )
+            np.testing.assert_array_equal(grid.query(cam), linear)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ulps=st.integers(-4, 4),
+    cells=st.integers(1, 24),
+)
+def test_grid_equals_linear_at_the_support_boundary(seed, ulps, cells):
+    """Gaussians whose centre sits within a few ulps of +-its own support
+    radius from a frustum plane: whichever way rounding decides them, the
+    grid must decide the same as linear culling.  Isotropic scales make a
+    member's support equal the cell's radius bound; log-scales of -80 put
+    centres within ulps of the plane itself."""
+    from repro.gaussians.camera import look_at_camera
+    from repro.gaussians.frustum import frustum_planes, support_radii
+
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=3)
+    cam = look_at_camera(
+        eye=rng.uniform(2.0, 6.0) * direction / np.linalg.norm(direction),
+        target=rng.uniform(-0.5, 0.5, 3),
+        fov_y_deg=rng.uniform(30.0, 90.0), width=64, height=48,
+        znear=rng.uniform(0.05, 1.0), zfar=rng.uniform(4.0, 12.0),
+    )
+    planes = frustum_planes(cam)
+
+    n = 192
+    log_scales = rng.uniform(-4.0, 0.5, size=(n, 3))
+    log_scales[: n // 2] = log_scales[: n // 2, :1]  # isotropic
+    log_scales[: n // 3] = -80.0
+    quats = rng.normal(size=(n, 4))
+    # Points spread through the view volume, each projected onto a random
+    # plane and stepped off it by +-its support radius (and a few ulps).
+    uv1 = np.stack([
+        rng.uniform(-cam.cx / cam.fx, (cam.width - cam.cx) / cam.fx, n),
+        rng.uniform(-cam.cy / cam.fy, (cam.height - cam.cy) / cam.fy, n),
+        np.ones(n),
+    ], axis=1)
+    depth = rng.uniform(cam.znear, cam.zfar, size=(n, 1))
+    inner = cam.center + (uv1 * depth) @ cam.rotation
+    plane = rng.integers(0, 6, n)
+    normals = planes[plane, :3]
+    rows = np.arange(n)
+    signed = (inner @ planes[:, :3].T + planes[:, 3])[rows, plane]
+    radius = support_radii(planes[:, :3], log_scales, quats)[plane, rows]
+    side = rng.choice([-1.0, 1.0], size=n)
+    positions = inner + ((side * radius - signed)[:, None]) * normals
+    positions += ulps * np.spacing(np.abs(positions)) * np.sign(normals)
+
+    background = rng.uniform(-6.0, 6.0, size=(150, 3))
+    positions = np.concatenate([positions, background])
+    log_scales = np.concatenate([log_scales, rng.uniform(-4.0, 0.0, size=(150, 3))])
+    quats = np.concatenate([quats, rng.normal(size=(150, 4))])
+
+    grid = CullingGrid(positions, log_scales, quats, target_cells_per_axis=cells)
+    linear = cull_gaussians(cam, positions, log_scales, quats)
+    np.testing.assert_array_equal(grid.query(cam), linear)

@@ -91,3 +91,42 @@ def test_assign_views_plurality():
         np.empty(0, dtype=np.int64),  # empty -> device 0
     ]
     assert assign_views(sets, a) == [0, 1, 0, 0]
+
+
+def walk_cells_in_lexicographic_order(model, k, cells=16):
+    """Reference partition: bin rows into the grid's cells, visit the
+    cells in np.lexsort order of their (x, y, z) coordinates and advance
+    to the next device once the running total reaches its N/K quota."""
+    pos = model.positions
+    lo = pos.min(axis=0)
+    cell_size = max(float(np.max(pos.max(axis=0) - lo)) / cells, 1e-9)
+    coords = np.floor((pos - lo) / cell_size).astype(np.int64)
+    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
+    split = np.flatnonzero(np.any(np.diff(coords[order], axis=0) != 0, axis=1)) + 1
+    owner = np.zeros(model.num_gaussians, dtype=np.int64)
+    device = assigned = 0
+    n = model.num_gaussians
+    for members in np.split(order, split):
+        owner[members] = device
+        assigned += members.size
+        while device < k - 1 and assigned >= (device + 1) * n / k:
+            device += 1
+    return owner
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_owner_matches_the_lexicographic_cell_walk(k, seed):
+    model = GaussianModel.random(
+        500 + 97 * seed, extent=1.0 + seed, sh_degree=1, seed=seed
+    )
+    expected = walk_cells_in_lexicographic_order(model, k)
+    np.testing.assert_array_equal(shard(model, k).owner, expected)
+
+
+def test_unbinned_rows_form_the_last_run(model):
+    positions = model.positions.copy()
+    positions[[3, 10]] = np.nan
+    a = spatial_shard(positions, model.log_scales, model.quaternions, 4)
+    assert a.owner[3] == a.owner[10] == 3
+    assert int(a.counts().sum()) == model.num_gaussians
